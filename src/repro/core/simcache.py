@@ -1,50 +1,55 @@
-"""Persistent content-addressed cache for simulation results.
+"""Persistent content-addressed store for simulation and mix results.
 
 Characterization work is heavily repetitive: the same (TraceSpec,
 MachineConfig, warmup) triples are simulated over and over across figure
-benchmarks, CLI invocations and CI jobs, and the simulator is fully
-deterministic.  This module memoises :class:`~repro.uarch.pipeline.
-SimulationResult`s on disk, content-addressed by a stable hash of
+benchmarks, CLI invocations and CI jobs, and the same multi-tenant mixes
+are replayed through :func:`~repro.cluster.tenancy.run_mix`.  Both are
+fully deterministic, so this module memoises them in one on-disk store
+with two namespaces:
 
-* the trace spec (every field, via ``dataclasses.asdict``),
-* the machine config (every field, including nested cache/TLB/core configs),
-* the warmup override, and
-* the **code version** — a digest of the source bytes of every module that
-  can influence a counter value, so any change to the timing model
-  invalidates the whole cache automatically.
+* ``sim`` holds simulation results
+  (:class:`~repro.uarch.pipeline.SimulationResult`), keyed by every
+  field of the trace spec and machine config, the warmup override and
+  :func:`code_version` (a digest of the timing-model source);
+* ``mix`` holds whole mix outcomes
+  (:class:`~repro.cluster.scheduler.MixOutcome`), keyed by the submitted
+  trace, the scheduler's :meth:`describe` fingerprint, the fault plan,
+  the cluster geometry/topology/device state, the observability mode,
+  the run engine and :func:`cluster_code_version` (a digest of every
+  cluster-layer source module).
 
-The engine (fast vs reference) is deliberately *not* part of the key: the
-two engines are bit-identical by contract (see ``repro.perf.fastpath``),
-so their results are interchangeable.  Cache hits are required to be
-bit-identical to cold runs — ``tests/core/test_simcache.py`` round-trips
-results through the store and compares every field.
+Every key also folds in :data:`SCHEMA_VERSION`, so a change to the entry
+format makes old entries unreachable, as a source change does through
+the code versions.  The engine class (fast vs reference, for μops and
+for dispatch alike) is deliberately *not* keyed: the engines are
+bit-identical by contract (see ``repro.perf.fastpath`` and
+``repro.perf.clusterpath``), so their results are interchangeable.  Hits
+are bit-identical to cold runs — ``tests/core/test_simcache.py``
+round-trips both namespaces and compares every field.
 
-Layout: one JSON file per result under ``.repro-cache/sim/<key[:2]>/<key>.json``
-(the two-level fan-out keeps directories small).  Writes are atomic
+Layout: one file per entry at ``<root>/<ns>/<key[:2]>/<key>.json`` (the
+two-level fan-out keeps directories small).  The first line is the hex
+SHA-256 of the key's bytes followed by the body's bytes; the rest of the
+file is the body, the value's compact JSON.  A read returns a miss,
+never a wrong answer, when the file is missing or unreadable, when its
+digest line does not match (a truncated file, a flipped byte that still
+parses, an entry copied under another key), or when the body does not
+decode to the namespace's value.  The handles count each of these as a
+miss, and the cold run rewrites the entry.  Writes are atomic
 (``os.replace`` of a same-directory temp file) so concurrent workers and
 interrupted runs can never publish a torn file.
 
-Escape hatches: ``REPRO_SIM_CACHE=0`` (or ``--no-sim-cache`` on the CLI and
-pytest runs) disables the cache; ``REPRO_CACHE_DIR`` relocates it;
-:func:`clear` invalidates it explicitly.
-
-The cluster layer gets the same treatment one level up: a **mix-level
-cache** under ``.repro-cache/mix/`` memoises whole
-:class:`~repro.cluster.scheduler.MixOutcome` objects, content-addressed
-by the submitted trace, the scheduler's :meth:`describe` fingerprint,
-the fault plan, the cluster geometry/topology/device state, the
-observability mode, the run engine, and a digest of every cluster-layer
-source module (:func:`cluster_code_version`).  The fast/reference
-*dispatch* engine is again excluded from the key — the two are
-bit-identical by contract (``repro.perf.clusterpath``) — while anything
-that changes the outcome's bytes is included.  ``REPRO_MIX_CACHE=0``
-(or ``--no-mix-cache``) disables it independently of the uarch cache.
+Escape hatches: ``REPRO_SIM_CACHE=0`` (or ``--no-sim-cache`` on the CLI
+and pytest runs) and ``REPRO_MIX_CACHE=0`` (or ``--no-mix-cache``)
+disable one namespace each; ``REPRO_CACHE_DIR`` relocates the root;
+:func:`clear` and :func:`clear_mix` empty one namespace each.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import shutil
@@ -56,7 +61,7 @@ from repro.uarch.pipeline import Core, SimulationResult
 from repro.uarch.trace import SyntheticTrace, TraceSpec
 
 #: Bump when the on-disk entry format (not the simulated values) changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Default cache root, relative to the current working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -75,172 +80,6 @@ _VERSIONED_MODULES = (
     "repro.uarch.pipeline",
     "repro.perf.fastpath",
 )
-
-_code_version: str | None = None
-
-
-def code_version() -> str:
-    """Digest of the timing-model source files (cached per process)."""
-    global _code_version
-    if _code_version is None:
-        digest = hashlib.sha256()
-        import importlib
-
-        for module_name in _VERSIONED_MODULES:
-            module = importlib.import_module(module_name)
-            path = getattr(module, "__file__", None)
-            digest.update(module_name.encode())
-            if path and os.path.exists(path):
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _code_version = digest.hexdigest()[:16]
-    return _code_version
-
-
-def cache_enabled(default: bool = True) -> bool:
-    """Honour the ``REPRO_SIM_CACHE`` escape hatch (0/false/off disable)."""
-    value = os.environ.get("REPRO_SIM_CACHE")
-    if value is None:
-        return default
-    return value.strip().lower() not in {"0", "false", "off", "no", ""}
-
-
-def cache_dir(root: str | os.PathLike | None = None) -> Path:
-    """Resolve the cache root (arg > ``REPRO_CACHE_DIR`` > default)."""
-    if root is None:
-        root = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-    return Path(root)
-
-
-def sim_cache_key(
-    spec: TraceSpec,
-    machine: MachineConfig,
-    warmup: int | None = None,
-) -> str:
-    """Stable content hash for one simulation's inputs.
-
-    Every field of the spec and machine participates, so *any* change —
-    instruction budget, a cache geometry, the predictor kind, a region
-    footprint — produces a different key.  The digest also folds in the
-    code version and schema version.
-    """
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "code": code_version(),
-        "warmup": warmup,
-        "spec": dataclasses.asdict(spec),
-        "machine": dataclasses.asdict(machine),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _entry_path(root: Path, key: str) -> Path:
-    return root / "sim" / key[:2] / f"{key}.json"
-
-
-def load_result(key: str, root: str | os.PathLike | None = None) -> SimulationResult | None:
-    """Fetch a cached result by key, or None on miss/corruption."""
-    path = _entry_path(cache_dir(root), key)
-    try:
-        with open(path, encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    data = payload.get("result")
-    if not isinstance(data, dict):
-        return None
-    try:
-        return SimulationResult(**data)
-    except TypeError:
-        # Field mismatch from an old entry written before a schema bump.
-        return None
-
-
-def store_result(
-    key: str, result: SimulationResult, root: str | os.PathLike | None = None
-) -> None:
-    """Persist *result* under *key* atomically (tmp file + rename)."""
-    path = _entry_path(cache_dir(root), key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "code": code_version(),
-        "result": dataclasses.asdict(result),
-    }
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def clear(root: str | os.PathLike | None = None) -> int:
-    """Explicit invalidation: delete every cached entry; return the count."""
-    sim_root = cache_dir(root) / "sim"
-    if not sim_root.exists():
-        return 0
-    count = sum(1 for _ in sim_root.rglob("*.json"))
-    shutil.rmtree(sim_root)
-    return count
-
-
-class SimCache:
-    """One cache handle with hit/miss accounting.
-
-    ``simulate`` is the memoised twin of building a ``Core`` and running a
-    trace: on a hit the stored result is returned without simulating; on a
-    miss the chosen engine runs and the result is persisted.  Both paths
-    return bit-identical values.
-    """
-
-    def __init__(
-        self,
-        root: str | os.PathLike | None = None,
-        enabled: bool | None = None,
-    ) -> None:
-        self.root = cache_dir(root)
-        self.enabled = cache_enabled() if enabled is None else enabled
-        self.hits = 0
-        self.misses = 0
-
-    def simulate(
-        self,
-        spec: TraceSpec,
-        machine: MachineConfig,
-        warmup: int | None = None,
-        engine: str = "fast",
-    ) -> SimulationResult:
-        key = None
-        if self.enabled:
-            key = sim_cache_key(spec, machine, warmup)
-            cached = load_result(key, self.root)
-            if cached is not None:
-                self.hits += 1
-                return cached
-        self.misses += 1
-        if engine == "fast":
-            from repro.perf.fastpath import run_fast
-
-            result = run_fast(Core(machine), SyntheticTrace(spec), warmup=warmup)
-        else:
-            result = Core(machine).run(SyntheticTrace(spec), warmup=warmup)
-        if key is not None:
-            store_result(key, result, self.root)
-        return result
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-# -- mix-level cache (cluster layer) ----------------------------------------
 
 #: Modules whose source bytes define a mix's outcome.  Any edit to one of
 #: these produces a new cluster code version and a cold mix cache.
@@ -261,33 +100,174 @@ _CLUSTER_VERSIONED_MODULES = (
     "repro.perf.procfs",
 )
 
+_code_version: str | None = None
 _cluster_code_version: str | None = None
+
+
+def _source_digest(module_names) -> str:
+    digest = hashlib.sha256()
+    for module_name in module_names:
+        module = importlib.import_module(module_name)
+        path = getattr(module, "__file__", None)
+        digest.update(module_name.encode())
+        if path and os.path.exists(path):
+            with open(path, "rb") as handle:
+                digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
+
+def code_version() -> str:
+    """Digest of the timing-model source files (cached per process)."""
+    global _code_version
+    if _code_version is None:
+        _code_version = _source_digest(_VERSIONED_MODULES)
+    return _code_version
 
 
 def cluster_code_version() -> str:
     """Digest of the cluster-layer source files (cached per process)."""
     global _cluster_code_version
     if _cluster_code_version is None:
-        digest = hashlib.sha256()
-        import importlib
-
-        for module_name in _CLUSTER_VERSIONED_MODULES:
-            module = importlib.import_module(module_name)
-            path = getattr(module, "__file__", None)
-            digest.update(module_name.encode())
-            if path and os.path.exists(path):
-                with open(path, "rb") as handle:
-                    digest.update(handle.read())
-        _cluster_code_version = digest.hexdigest()[:16]
+        _cluster_code_version = _source_digest(_CLUSTER_VERSIONED_MODULES)
     return _cluster_code_version
+
+
+def _env_flag(name: str, default: bool = True) -> bool:
+    value = os.environ.get(name)
+    if value is None:
+        return default
+    return value.strip().lower() not in {"0", "false", "off", "no", ""}
+
+
+def cache_enabled(default: bool = True) -> bool:
+    """Honour the ``REPRO_SIM_CACHE`` escape hatch (0/false/off disable)."""
+    return _env_flag("REPRO_SIM_CACHE", default)
 
 
 def mix_cache_enabled(default: bool = True) -> bool:
     """Honour the ``REPRO_MIX_CACHE`` escape hatch (0/false/off disable)."""
-    value = os.environ.get("REPRO_MIX_CACHE")
-    if value is None:
-        return default
-    return value.strip().lower() not in {"0", "false", "off", "no", ""}
+    return _env_flag("REPRO_MIX_CACHE", default)
+
+
+def cache_dir(root: str | os.PathLike | None = None) -> Path:
+    """Resolve the cache root (arg > ``REPRO_CACHE_DIR`` > default)."""
+    if root is None:
+        root = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
+    return Path(root)
+
+
+# -- the store: one verified reader and writer for every namespace ---------
+
+
+def _content_key(code: str, fields: dict) -> str:
+    payload = {"schema": SCHEMA_VERSION, "code": code, **fields}
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def _path(ns: str, key: str, root) -> Path:
+    return cache_dir(root) / ns / key[:2] / f"{key}.json"
+
+
+def _entry_digest(key: str, body: bytes) -> bytes:
+    digest = hashlib.sha256(key.encode())
+    digest.update(body)
+    return digest.hexdigest().encode()
+
+
+def _write(ns: str, key: str, root, payload) -> None:
+    """Persist *payload* under *key* atomically (tmp file + rename)."""
+    path = _path(ns, key, root)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    body = json.dumps(payload, separators=(",", ":")).encode()
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            # Two writes, so the multi-MB body is not copied into a
+            # joined buffer.
+            handle.write(_entry_digest(key, body) + b"\n")
+            handle.write(body)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def _read(ns: str, key: str, root, decode):
+    """``decode(payload)`` of the entry under *key*, or None when it is
+    missing, fails its digest line or does not decode."""
+    try:
+        # One bulk binary read beats json.load's incremental text
+        # decoding; mix entries run to tens of megabytes.
+        with open(_path(ns, key, root), "rb") as handle:
+            digest = handle.readline().rstrip(b"\n")
+            body = handle.read()
+    except OSError:
+        return None
+    if digest != _entry_digest(key, body):
+        return None
+    try:
+        return decode(json.loads(body))
+    except (ValueError, KeyError, IndexError, TypeError):
+        return None
+
+
+def _clear(ns: str, root) -> int:
+    ns_root = cache_dir(root) / ns
+    if not ns_root.exists():
+        return 0
+    count = sum(1 for _ in ns_root.rglob("*.json"))
+    shutil.rmtree(ns_root)
+    return count
+
+
+# -- the sim namespace (uarch layer) ----------------------------------------
+
+
+def sim_cache_key(
+    spec: TraceSpec,
+    machine: MachineConfig,
+    warmup: int | None = None,
+) -> str:
+    """Stable content hash for one simulation's inputs.
+
+    Every field of the spec and machine participates, so *any* change —
+    instruction budget, a cache geometry, the predictor kind, a region
+    footprint — produces a different key.  The digest also folds in the
+    code version and schema version.
+    """
+    return _content_key(
+        code_version(),
+        {
+            "warmup": warmup,
+            "spec": dataclasses.asdict(spec),
+            "machine": dataclasses.asdict(machine),
+        },
+    )
+
+
+def load_result(key: str, root: str | os.PathLike | None = None) -> SimulationResult | None:
+    """Fetch a cached result by key, or None on a miss or a damaged entry."""
+    return _read("sim", key, root, lambda data: SimulationResult(**data))
+
+
+def store_result(
+    key: str, result: SimulationResult, root: str | os.PathLike | None = None
+) -> None:
+    """Persist *result* under *key* atomically (tmp file + rename)."""
+    _write("sim", key, root, dataclasses.asdict(result))
+
+
+def clear(root: str | os.PathLike | None = None) -> int:
+    """Explicit invalidation: delete every cached simulation result;
+    return the count."""
+    return _clear("sim", root)
+
+
+# -- the mix namespace (cluster layer) --------------------------------------
 
 
 def _cluster_fingerprint(cluster) -> dict:
@@ -385,18 +365,17 @@ def mix_cache_key(multi, run_engine: str = "events") -> str:
     carries an event log.  So is the observability mode, which decides
     which per-node rates a timeline reports.
     """
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "code": cluster_code_version(),
-        "run_engine": run_engine,
-        "observability": multi.observability,
-        "scheduler": multi.scheduler.describe(),
-        "plan": dataclasses.asdict(multi.plan) if multi.plan is not None else None,
-        "cluster": _cluster_fingerprint(multi.cluster),
-        "jobs": _submissions_fingerprint(multi.jobs),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return _content_key(
+        cluster_code_version(),
+        {
+            "run_engine": run_engine,
+            "observability": multi.observability,
+            "scheduler": multi.scheduler.describe(),
+            "plan": dataclasses.asdict(multi.plan) if multi.plan is not None else None,
+            "cluster": _cluster_fingerprint(multi.cluster),
+            "jobs": _submissions_fingerprint(multi.jobs),
+        },
+    )
 
 
 def _timeline_to_payload(timeline) -> list | None:
@@ -550,70 +529,28 @@ def _mix_outcome_from_payload(data):
     )
 
 
-def _mix_entry_path(root: Path, key: str) -> Path:
-    return root / "mix" / key[:2] / f"{key}.json"
-
-
 def load_mix(key: str, root: str | os.PathLike | None = None):
-    """Fetch a cached mix outcome by key, or None on miss/corruption."""
-    path = _mix_entry_path(cache_dir(root), key)
-    try:
-        # One bulk binary read beats json.load's incremental text
-        # decoding; scale-row entries run to tens of megabytes.
-        payload = json.loads(path.read_bytes())
-    except (OSError, ValueError):
-        return None
-    data = payload.get("outcome")
-    if not isinstance(data, dict):
-        return None
-    try:
-        return _mix_outcome_from_payload(data)
-    except (KeyError, IndexError, TypeError):
-        # Shape mismatch from an entry written before a schema bump.
-        return None
+    """Fetch a cached mix outcome by key, or None on a miss or a damaged entry."""
+    return _read("mix", key, root, _mix_outcome_from_payload)
 
 
 def store_mix(key: str, outcome, root: str | os.PathLike | None = None) -> None:
     """Persist *outcome* under *key* atomically (tmp file + rename)."""
-    path = _mix_entry_path(cache_dir(root), key)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "code": cluster_code_version(),
-        "outcome": mix_outcome_payload(outcome),
-    }
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    _write("mix", key, root, mix_outcome_payload(outcome))
 
 
 def clear_mix(root: str | os.PathLike | None = None) -> int:
     """Delete every cached mix outcome; return the count."""
-    mix_root = cache_dir(root) / "mix"
-    if not mix_root.exists():
-        return 0
-    count = sum(1 for _ in mix_root.rglob("*.json"))
-    shutil.rmtree(mix_root)
-    return count
+    return _clear("mix", root)
 
 
-class MixCache:
-    """One mix-cache handle with hit/miss accounting.
+# -- handles with hit/miss accounting ---------------------------------------
 
-    ``run`` is the memoised twin of :meth:`MultiJobCluster.run`: on a
-    hit the stored outcome is returned without dispatching a single
-    task; on a miss the mix runs and the outcome is persisted.  Both
-    paths return bit-identical values (``tests/core/test_simcache.py``
-    round-trips every field).
-    """
+
+class _Handle:
+    """One handle on a namespace, with hit/miss accounting.  A subclass
+    sets ``_env_enabled`` to its namespace's escape hatch, consulted
+    when ``enabled`` is not given."""
 
     def __init__(
         self,
@@ -621,24 +558,76 @@ class MixCache:
         enabled: bool | None = None,
     ) -> None:
         self.root = cache_dir(root)
-        self.enabled = mix_cache_enabled() if enabled is None else enabled
+        self.enabled = self._env_enabled() if enabled is None else enabled
         self.hits = 0
         self.misses = 0
 
-    def run(self, multi, engine: str = "events"):
-        key = None
+    def _memoise(self, key, load, store, compute):
+        """``load(key())`` on a hit; otherwise ``compute()``, stored under
+        the key.  A damaged entry loads as None and counts as a miss."""
+        entry = None
         if self.enabled:
-            key = mix_cache_key(multi, run_engine=engine)
-            cached = load_mix(key, self.root)
+            entry = key()
+            cached = load(entry, self.root)
             if cached is not None:
                 self.hits += 1
                 return cached
         self.misses += 1
-        outcome = multi.run(engine=engine)
-        if key is not None:
-            store_mix(key, outcome, self.root)
-        return outcome
+        value = compute()
+        if entry is not None:
+            store(entry, value, self.root)
+        return value
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
+
+
+class SimCache(_Handle):
+    """``simulate`` is the memoised twin of building a ``Core`` and
+    running a trace: on a hit the stored result is returned without
+    simulating; on a miss the chosen engine runs and the result is
+    persisted.  Both paths return bit-identical values.
+    """
+
+    _env_enabled = staticmethod(cache_enabled)
+
+    def simulate(
+        self,
+        spec: TraceSpec,
+        machine: MachineConfig,
+        warmup: int | None = None,
+        engine: str = "fast",
+    ) -> SimulationResult:
+        def run() -> SimulationResult:
+            if engine == "fast":
+                from repro.perf.fastpath import run_fast
+
+                return run_fast(Core(machine), SyntheticTrace(spec), warmup=warmup)
+            return Core(machine).run(SyntheticTrace(spec), warmup=warmup)
+
+        # The key/load/store functions are looked up as module globals
+        # at call time, so instrumentation that patches them sees every
+        # call.
+        return self._memoise(
+            lambda: sim_cache_key(spec, machine, warmup), load_result, store_result, run
+        )
+
+
+class MixCache(_Handle):
+    """``run`` is the memoised twin of :meth:`MultiJobCluster.run`: on a
+    hit the stored outcome is returned without dispatching a single
+    task; on a miss the mix runs and the outcome is persisted.  Both
+    paths return bit-identical values (``tests/core/test_simcache.py``
+    round-trips every field).
+    """
+
+    _env_enabled = staticmethod(mix_cache_enabled)
+
+    def run(self, multi, engine: str = "events"):
+        return self._memoise(
+            lambda: mix_cache_key(multi, run_engine=engine),
+            load_mix,
+            store_mix,
+            lambda: multi.run(engine=engine),
+        )

@@ -7,12 +7,14 @@ carries the same promise — ``workers=N`` must return the exact result
 list of a serial run, in the same order.  The mix-level cache (whole
 ``MixOutcome`` values, content-addressed by trace + scheduler config +
 fault plan + topology + cluster code digest) repeats both halves at the
-cluster layer.
+cluster layer.  Both namespaces share one verified reader, so a damaged
+or foreign entry is a counted miss in either, never a wrong answer.
 """
 
 import dataclasses
 import os
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -313,6 +315,74 @@ class TestMixCache:
             mix_outcome_payload(warm.outcome)
         )
         assert cold.makespan_s == warm.makespan_s
+
+
+def _sim_namespace():
+    spec = TraceSpec(name="cachetest", instructions=5_000, seed=11)
+    return SimpleNamespace(
+        name="sim",
+        handle=SimCache,
+        load=load_result,
+        key=lambda seed=11: sim_cache_key(dataclasses.replace(spec, seed=seed), SCALED),
+        lookup=lambda cache: cache.simulate(spec, SCALED),
+        compare=dataclasses.asdict,
+        number=b'"cycles":',
+    )
+
+
+def _mix_namespace():
+    return SimpleNamespace(
+        name="mix",
+        handle=MixCache,
+        load=load_mix,
+        key=lambda seed=0: mix_cache_key(build_small_mix(seed=seed, plan=True)),
+        lookup=lambda cache: cache.run(build_small_mix(plan=True)),
+        compare=mix_outcome_payload,
+        number=b'"end_s":',
+    )
+
+
+@pytest.fixture(params=[_sim_namespace, _mix_namespace], ids=["sim", "mix"])
+def namespace(request):
+    return request.param()
+
+
+def _entry(root, ns, key):
+    return root / ns.name / key[:2] / f"{key}.json"
+
+
+class TestDamagedEntries:
+    """A damaged or foreign entry that still parses is a counted miss,
+    never a wrong answer, in every namespace of the store."""
+
+    def test_flipped_digit_is_a_counted_miss(self, namespace, tmp_path):
+        cold = namespace.lookup(namespace.handle(tmp_path, enabled=True))
+        key = namespace.key()
+        path = _entry(tmp_path, namespace, key)
+        data = path.read_bytes()
+        at = data.index(namespace.number) + len(namespace.number)
+        # A leading 1 or 2 keeps the number valid JSON.
+        digit = b"2" if data[at : at + 1] == b"1" else b"1"
+        path.write_bytes(data[:at] + digit + data[at + 1 :])
+        assert namespace.load(key, tmp_path) is None
+
+        cache = namespace.handle(tmp_path, enabled=True)
+        rerun = namespace.lookup(cache)
+        assert (cache.hits, cache.misses) == (0, 1)
+        warm = namespace.lookup(cache)
+        assert (cache.hits, cache.misses) == (1, 1)
+        assert namespace.compare(rerun) == namespace.compare(cold)
+        assert namespace.compare(warm) == namespace.compare(cold)
+
+    def test_foreign_entry_is_a_miss(self, namespace, tmp_path):
+        namespace.lookup(namespace.handle(tmp_path, enabled=True))
+        key, other = namespace.key(), namespace.key(seed=1)
+        assert other != key
+        foreign = _entry(tmp_path, namespace, other)
+        foreign.parent.mkdir(parents=True, exist_ok=True)
+        foreign.write_bytes(_entry(tmp_path, namespace, key).read_bytes())
+        assert namespace.load(key, tmp_path) is not None
+        assert namespace.load(other, tmp_path) is None
 
 
 class TestParallelSuite:
